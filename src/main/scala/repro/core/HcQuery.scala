@@ -10,9 +10,10 @@ final case class HcQuery(s: Long, t: Long, k: Int) {
 
 /** Runtime knobs for one enumeration run.
   *
-  * @param timeBudgetMs  wall-clock cap, checked between expansion levels
-  *                      (the paper caps each query at 120 s; benches scale
-  *                      this down).
+  * @param timeBudgetMs  wall-clock cap, checked between expansion levels by
+  *                      the dataflow engines and every few thousand steps by
+  *                      the driver-side IDX enumerators (the paper caps each
+  *                      query at 120 s; benches scale this down).
   * @param responseTarget #results after which "response time" is recorded
   *                      (the paper uses the first 1000 results).
   * @param collectPaths  materialize the result paths on the driver (tests);
@@ -22,7 +23,8 @@ final case class HcQuery(s: Long, t: Long, k: Int) {
   *                      cannot run unbounded (the wall-clock budget is only
   *                      checked between levels). Hitting the cap marks the
   *                      run timed out / truncated, like the paper's 120 s
-  *                      kill. Env default: REPRO_MAX_LEVEL_ROWS.
+  *                      kill. IDX-DFS materializes no level and ignores
+  *                      it. Env default: REPRO_MAX_LEVEL_ROWS.
   */
 final case class EnumConfig(
     timeBudgetMs: Long = 10000L,

@@ -17,7 +17,7 @@ import scala.collection.mutable.ListBuffer
   * emission order differs (level-synchronous vs depth-first).
   *
   * The edge relation decides the algorithm:
-  *   - IDX-DFS: the pruned [[LightIndex]] edges (`er_dt` = indexed dt),
+  *   - index edges (`indexRelation`): the Appendix-E extensions,
   *   - BC-DFS : the full edge list with `er_dt` = BFS distance-to-t over the
   *     whole graph (Algorithm 1's `B(v')` check) — see [[repro.baseline.BcDfs]].
   *
@@ -94,7 +94,7 @@ object LeftDeepEnum {
     } finally persisted.foreach(_.unpersist(blocking = false))
   }
 
-  /** The IDX-DFS edge relation: pruned index edges. */
+  /** The index as an edge relation for the dataflow engines. */
   def indexRelation(index: LightIndex): DataFrame =
     index.edges.select(
       col("src").as("er_src"), col("dst").as("er_dst"), col("dstDt").as("er_dt"))

@@ -7,24 +7,25 @@ import repro.graph.{Bfs, GraphGen}
 
 /** The paper's light-weight query-dependent index (Algorithm 3).
   *
-  * The paper stores, per vertex `v` with `v.s + v.t <= k`, its neighbors
-  * sorted by distance-to-t, plus the partition table `X[i][j]`. In a
-  * dataflow setting the same structure is a pruned **edge DataFrame** that
-  * carries both endpoint distances as columns:
+  * The index is built as a dataflow: two bounded BFS runs give
+  * `ds(v) = S(s, v | G − {t})` and `dt(v) = S(v, t | G − {s})`, and an edge
+  * join keeps the pruned **edge DataFrame**
   *
   * {{{ edges(src, dst, srcDs, srcDt, dstDs, dstDt) }}}
   *
-  * where `ds(v) = S(s, v | G − {t})` and `dt(v) = S(v, t | G − {s})`,
-  * and every row satisfies
+  * where every row satisfies
   *   - `srcDs + srcDt <= k`        (src in X),
   *   - `dstDs + dstDt <= k`        (dst in X),
   *   - `srcDs + dstDt + 1 <= k`    (the H-table neighbor condition),
   *   - `src != t`                  (enumeration never expands past t).
   *
-  * The paper's lookups map to predicate pushdowns:
+  * The build ends by collecting the pruned edges and the vertex stats into
+  * `csr`, the paper's dt-sorted `Neighbors`/`Offset` layout on the driver
+  * ([[IndexCsr]]); the estimators and the IDX enumerators run there. The
+  * DataFrames stay for the Spark engines (`LeftDeepEnum.indexRelation`) and
+  * their lookups are predicate pushdowns:
   *   - `I(i)`      = `vertices.where(ds <= i && dt <= k - i)`  (C_i),
-  *   - `I_t(v, b)` = `edges.where(src = v && dstDt <= b)` — the dt-sorted
-  *     `Neighbors`/`Offset` arrays of the paper are exactly this filter.
+  *   - `I_t(v, b)` = `edges.where(src = v && dstDt <= b)`.
   *
   * Both distance BFS runs are bounded by `k` (farther vertices cannot be in
   * any result, Proposition 4.3), which is also what keeps construction cheap.
@@ -34,8 +35,10 @@ final case class LightIndex(
     edges: DataFrame,
     vertices: DataFrame, // (v, ds, dt) restricted to ds + dt <= k
     buildMs: Double,
-    edgeCount: Long,
-    vertexCount: Long) {
+    csr: IndexCsr) {
+
+  def edgeCount: Long = csr.edgeCount
+  def vertexCount: Long = csr.n
 
   /** C_i — vertices that can appear at position i of a result (Prop. 4.3). */
   def cSet(i: Int): DataFrame =
@@ -44,10 +47,6 @@ final case class LightIndex(
   /** I_t(v, b) — neighbors v' of v with dt(v') <= b. */
   def iT(v: Long, b: Int): DataFrame =
     edges.where(col("src") === v && col("dstDt") <= b).select("dst")
-
-  /** I_s(v, b) — in-neighbors v' of v with ds(v') <= b. */
-  def iS(v: Long, b: Int): DataFrame =
-    edges.where(col("dst") === v && col("srcDs") <= b).select("src")
 
   /** Index memory in the sense of Table 7: materialized cells x 8 bytes
     * (6 longs per indexed edge + 3 per vertex-stat row). */
@@ -75,7 +74,7 @@ object LightIndex {
     val verts = ds.join(dt, "v")
       .where(col("ds") + col("dt") <= q.k)
       .persist(StorageLevel.MEMORY_AND_DISK)
-    val nVerts = verts.count()
+    val vertRows = verts.collect().toSeq.map(r => (r.getLong(0), r.getInt(1), r.getInt(2)))
 
     val srcV = verts.select(col("v").as("src"), col("ds").as("srcDs"), col("dt").as("srcDt"))
     val dstV = verts.select(col("v").as("dst"), col("ds").as("dstDs"), col("dt").as("dstDt"))
@@ -88,9 +87,10 @@ object LightIndex {
              col("src") =!= q.t && col("dst") =!= q.s)
       .select("src", "dst", "srcDs", "srcDt", "dstDs", "dstDt")
       .persist(StorageLevel.MEMORY_AND_DISK)
-    val nEdges = idxEdges.count()
+    val edgeRows = idxEdges.collect().toSeq.map(r => (r.getLong(0), r.getLong(1)))
+    val csr = IndexCsr(q, vertRows, edgeRows)
 
     val ms = (System.nanoTime() - t0) / 1e6
-    LightIndex(q, idxEdges, verts, ms, nEdges, nVerts)
+    LightIndex(q, idxEdges, verts, ms, csr)
   }
 }

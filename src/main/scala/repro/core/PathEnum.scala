@@ -24,13 +24,16 @@ final case class PathEnumResult(
 }
 
 /** Top-level PathEnum (Figure 2): build the light-weight index, run the
-  * two-phase query optimizer, and enumerate with the chosen plan.
+  * two-phase query optimizer, and enumerate with the chosen plan. Only the
+  * index build runs Spark jobs; the optimizer and both enumerators run on
+  * its driver-side CSR ([[IndexCsr]], [[IndexEnum]]).
   *
-  * Phase 1: the preliminary estimator (Eq. 5) computes T̂ in O(k^2) from
-  * index histograms; if T̂ <= τ the search space is small and IDX-DFS runs
-  * directly (optimization would dominate such queries). Phase 2: the
-  * full-fledged DP (Alg. 5) produces exact walk-count cardinalities, the
-  * best cut i*, and the Eq.-1 costs T_DFS / T_JOIN; the cheaper plan runs.
+  * Phase 1: the preliminary estimator (Eq. 5) computes T̂ from the index's
+  * vertex stats and `Offset` array; if T̂ <= τ the search space is small
+  * and IDX-DFS runs directly (optimization would dominate such queries).
+  * Phase 2: the full-fledged DP (Alg. 5) produces exact walk-count
+  * cardinalities, the best cut i*, and the Eq.-1 costs T_DFS / T_JOIN; the
+  * cheaper plan runs.
   *
   * τ defaults to `REPRO_TAU` (1e4): calibrated like the paper's 1e5 — the
   * time our substrate needs to find τ results is comparable to the
@@ -54,19 +57,19 @@ object PathEnum {
     val tHat = Estimator.preliminary(spark, index)
     if (tHat <= tau) {
       val optMs = (System.nanoTime() - tOpt0) / 1e6
-      val res = LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(index), q, cfg)
+      val res = IndexEnum.dfs(index.csr, cfg)
       PathEnumResult(res, PlanInfo("DFS(prelim)", tHat, None, None, None),
         index.buildMs, optMs, index.edgeCount, index.memoryBytes)
     } else {
       val dp = Estimator.full(spark, index)
       val optMs = (System.nanoTime() - tOpt0) / 1e6
       if (dp.tDfs <= dp.tJoin) {
-        val res = LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(index), q, cfg)
+        val res = IndexEnum.dfs(index.csr, cfg)
         PathEnumResult(res,
           PlanInfo("DFS(cost)", tHat, Some(dp.bestCut), Some(dp.tDfs), Some(dp.tJoin)),
           index.buildMs, optMs, index.edgeCount, index.memoryBytes)
       } else {
-        val res = JoinEnum.run(spark, LeftDeepEnum.indexRelation(index), q, dp.bestCut, cfg)
+        val res = IndexEnum.join(index.csr, dp.bestCut, cfg)
         PathEnumResult(res,
           PlanInfo("JOIN", tHat, Some(dp.bestCut), Some(dp.tDfs), Some(dp.tJoin)),
           index.buildMs, optMs, index.edgeCount, index.memoryBytes)
@@ -79,7 +82,7 @@ object PathEnum {
              cfg: EnumConfig = EnumConfig()): PathEnumResult = {
     val index = LightIndex.build(spark, graphEdges, q)
     try {
-      val res = LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(index), q, cfg)
+      val res = IndexEnum.dfs(index.csr, cfg)
       PathEnumResult(res, PlanInfo("DFS(forced)", -1, None, None, None),
         index.buildMs, 0.0, index.edgeCount, index.memoryBytes)
     } finally index.unpersist()
@@ -92,7 +95,7 @@ object PathEnum {
     val index = LightIndex.build(spark, graphEdges, q)
     try {
       val dp = Estimator.full(spark, index)
-      val res = JoinEnum.run(spark, LeftDeepEnum.indexRelation(index), q, dp.bestCut, cfg)
+      val res = IndexEnum.join(index.csr, dp.bestCut, cfg)
       PathEnumResult(res,
         PlanInfo("JOIN(forced)", -1, Some(dp.bestCut), Some(dp.tDfs), Some(dp.tJoin)),
         index.buildMs, dp.optMs, index.edgeCount, index.memoryBytes)

@@ -1,6 +1,6 @@
 package repro
 
-import repro.core.{EnumConfig, HcQuery, LeftDeepEnum, LightIndex, PathEnum}
+import repro.core.{EnumConfig, HcQuery, IndexEnum, LeftDeepEnum, LightIndex, PathEnum}
 
 /** Result-correctness tests backed by the DuckDB oracle: the same edge
   * table is enumerated by a recursive CTE in DuckDB and diffed against the
@@ -25,12 +25,15 @@ class OracleIntegrationSpec extends ReproSpec {
   private def check(pairs: Seq[(Long, Long)], q: HcQuery): Unit = {
     import spark.implicits._
     val edges = edgeDf(pairs)
+    val cfg = EnumConfig(timeBudgetMs = 300000L, collectPaths = true)
     val idx = LightIndex.build(spark, edges, q)
     try {
-      val r = LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(idx), q,
-        EnumConfig(timeBudgetMs = 300000L, collectPaths = true))
-      val got = r.paths.get.map(_.mkString(">")).toDF("path")
-      Oracle.assertEquivalent(got, duckSql(q.s, q.t, q.k), "edges" -> edges)
+      // The dataflow engine over the index and the driver-side IDX-DFS.
+      for (r <- Seq(LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(idx), q, cfg),
+                    IndexEnum.dfs(idx.csr, cfg))) {
+        val got = r.paths.get.map(_.mkString(">")).toDF("path")
+        Oracle.assertEquivalent(got, duckSql(q.s, q.t, q.k), "edges" -> edges)
+      }
     } finally idx.unpersist()
   }
 

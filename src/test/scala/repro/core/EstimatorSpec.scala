@@ -30,7 +30,7 @@ class EstimatorSpec extends ReproSpec {
     assert(est.forward(0) == 1 && est.backward(4) == 1)
   }
 
-  test("Spark DP matches the reference DP level-by-level") {
+  test("driver DP matches the reference DP level-by-level") {
     for ((_, pairs) <- TestGraphs.randomCases(3)) {
       val q = HcQuery(1L, 2L, 5)
       val est = dp(pairs, q)
@@ -108,5 +108,16 @@ class EstimatorSpec extends ReproSpec {
     val padded = walks.map(w => w ++ List.fill(q.k + 1 - w.size)(2L))
     for (i <- 1 to q.k)
       assert(est.forward(i) == padded.map(_.take(i + 1)).distinct.size, s"level $i")
+  }
+
+  test("walk counts saturate instead of wrapping (complete digraph K_20, k = 18)") {
+    // 18 * 17^16 > Long.MaxValue padded s-t walks of 18 edges.
+    val pairs = for (a <- 1L to 20L; b <- 1L to 20L if a != b) yield (a, b)
+    val q = HcQuery(1L, 2L, 18)
+    val est = dp(pairs, q)
+    assert((est.forward ++ est.backward).forall(_ >= 0))
+    assert(est.forward(q.k) == Long.MaxValue && est.backward(0) == Long.MaxValue)
+    assert(est.tDfs == Long.MaxValue && est.tJoin == Long.MaxValue)
+    assert(est.bestCut >= 1 && est.bestCut < q.k)
   }
 }

@@ -71,6 +71,20 @@ class LightIndexSpec extends ReproSpec {
     } finally idx.unpersist()
   }
 
+  test("CSR prefix I_t(v, b) equals iT(v, b) for every v and b") {
+    val idx = LightIndex.build(spark, edgeDf(TestGraphs.figure1), q)
+    try {
+      val g = idx.csr
+      assert(g.n > 0)
+      for (v <- 0 until g.n; b <- 0 to q.k) {
+        val prefix = (g.start(v) until g.offset(v, b)).map(g.nbr)
+        assert(prefix.map(g.dt) == prefix.map(g.dt).sorted, s"not dt-sorted at v=${g.ids(v)}")
+        assert(prefix.map(g.ids).sorted == idx.iT(g.ids(v), b).collect().map(_.getLong(0)).toSeq.sorted,
+          s"v=${g.ids(v)} b=$b")
+      }
+    } finally idx.unpersist()
+  }
+
   test("memoryBytes counts edge and vertex cells") {
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.layered), HcQuery(1L, 2L, 4))
     try assert(idx.memoryBytes == idx.edgeCount * 48 + idx.vertexCount * 24)

@@ -44,6 +44,17 @@ class PathEnumSpec extends ReproSpec {
     assert(pathSet(a.enum) == pathSet(c.enum))
   }
 
+  test("a repeated input edge yields each path once") {
+    val pairs = TestGraphs.layered :+ ((3L, 5L))
+    val q = HcQuery(1L, 2L, 4)
+    val want = RefGraph.Ref(pairs).paths(1L, 2L, 4).size
+    val e = edgeDf(pairs)
+    val cfg = EnumConfig(timeBudgetMs = 300000L)
+    assert(PathEnum.run(spark, e, q, cfg).enum.results == want)
+    assert(PathEnum.idxDfs(spark, e, q, cfg).enum.results == want)
+    assert(PathEnum.idxJoin(spark, e, q, cfg).enum.results == want)
+  }
+
   test("idxJoin records the DP-chosen cut") {
     val r = PathEnum.idxJoin(spark, edgeDf(TestGraphs.layered), HcQuery(1L, 2L, 4))
     assert(r.planInfo.cut.exists(c => c >= 1 && c <= 3))
